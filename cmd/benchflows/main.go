@@ -285,7 +285,7 @@ func runCircuit(c bench.Circuit, lib *genlib.Library, budget guard.Budget, lim r
 		tr.SetRegistry(reg)
 	}
 	start := time.Now()
-	sd, ret, rsyn, err := flows.RunAllCtx(context.Background(), src, lib,
+	sd, ret, rsyn, err := flows.RunAll(context.Background(), src, lib,
 		flows.Config{Tracer: tr, Budget: budget, Reach: lim})
 	cr.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {
@@ -536,7 +536,7 @@ func reachBenchCircuit(c bench.Circuit, lim reach.Limits, budget guard.Budget, s
 		}
 		tr := obs.New()
 		start := time.Now()
-		a, err := reach.AnalyzeCtx(ctx, src, ml, tr)
+		a, err := reach.Analyze(ctx, src, ml, tr)
 		mr.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 		cnt := tr.Counters()
 		mr.Clusters = int(cnt["reach_clusters"])

@@ -8,6 +8,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -56,6 +58,7 @@ func main() {
 	}
 	fmt.Printf("input: %s (%v)\n", src.Name, src.Stat())
 
+	ctx := context.Background()
 	var result = src
 	if *minarea {
 		c := *period
@@ -69,14 +72,14 @@ func main() {
 				fatal(err)
 			}
 		}
-		ret, info, err := retime.MinAreaUnderPeriod(src, nil, c)
+		ret, info, err := retime.MinAreaUnderPeriod(ctx, src, nil, c, nil)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("min-area @ %.2f: %v\n", c, info)
 		result = ret
 	} else {
-		ret, info, err := retime.MinPeriod(src, nil)
+		ret, info, err := retime.MinPeriod(ctx, src, nil, nil)
 		if err != nil {
 			fatal(fmt.Errorf("%w (the paper reports the same failure mode for several benchmarks)", err))
 		}
@@ -84,11 +87,11 @@ func main() {
 		result = ret
 	}
 	if *verify {
-		err := seqverify.Equivalent(src, result, seqverify.Options{Limits: reachLim})
+		_, err := seqverify.Check(ctx, src, result, seqverify.Options{Limits: reachLim})
 		switch {
 		case err == nil:
 			fmt.Println("verify: exact equivalence PASSED")
-		case err == seqverify.ErrTooLarge:
+		case errors.Is(err, seqverify.ErrTooLarge):
 			if serr := sim.RandomEquivalent(src, result, 0, *simCycles, sim.DefaultSpotCheck.CLI.Seed); serr != nil {
 				fatal(serr)
 			}

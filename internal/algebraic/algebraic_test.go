@@ -1,6 +1,7 @@
 package algebraic
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -257,10 +258,10 @@ func TestOptimizeDelayPreservesSequentialBehaviour(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := n.Clone()
-	if err := OptimizeDelay(n); err != nil {
+	if err := OptimizeDelay(context.Background(), n, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
 		t.Fatalf("OptimizeDelay broke the FSM: %v", err)
 	}
 }
@@ -288,7 +289,7 @@ func TestDecomposeRandomNetworks(t *testing.T) {
 		g := n.AddLogic("g", pis, f)
 		n.AddPO("y", g)
 		ref := n.Clone()
-		if err := OptimizeDelay(n); err != nil {
+		if err := OptimizeDelay(context.Background(), n, nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if err := sim.RandomEquivalent(ref, n, 0, 100, int64(trial)); err != nil {

@@ -131,22 +131,13 @@ func isInvOrBuf(f *logic.Cover) bool {
 // OptimizeDelay is the technology-independent delay script used by all
 // three evaluation flows before mapping: sweep, simplify, eliminate small
 // nodes, extract common divisors, then decompose into balanced two-input
-// trees (the script.delay analogue).
-func OptimizeDelay(n *network.Network) error {
-	return OptimizeDelayT(n, nil)
-}
-
-// OptimizeDelayT is OptimizeDelay with tracing: an "algebraic.optimize"
-// span with one child step span per script pass and counters for nodes
-// simplified/eliminated, kernels extracted, and literals saved.
-func OptimizeDelayT(n *network.Network, tr *obs.Tracer) error {
-	return OptimizeDelayCtx(context.Background(), n, tr)
-}
-
-// OptimizeDelayCtx is OptimizeDelayT with cancellation, checked between
-// script passes; exceeding the deadline returns a typed guard budget error
-// with the network left in a valid intermediate state.
-func OptimizeDelayCtx(ctx context.Context, n *network.Network, tr *obs.Tracer) error {
+// trees (the script.delay analogue). It reports an "algebraic.optimize"
+// span (nil tr: untraced) with one child step span per script pass and
+// counters for nodes simplified/eliminated, kernels extracted, and
+// literals saved. ctx is checked between script passes; exceeding the
+// deadline returns a typed guard budget error with the network left in a
+// valid intermediate state.
+func OptimizeDelay(ctx context.Context, n *network.Network, tr *obs.Tracer) error {
 	sp := tr.Begin("algebraic.optimize")
 	defer sp.End()
 	litsIn := n.NumLits()

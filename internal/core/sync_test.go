@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestStructuralSyncSequenceSurvivesResynthesis(t *testing.T) {
 		t.Fatal("original machine must have a structural synchronizing sequence")
 	}
 
-	res, err := Resynthesize(orig, Options{KeepHarm: true})
+	res, err := Resynthesize(context.Background(), orig, Options{KeepHarm: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package retime
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -53,8 +55,8 @@ func TestPropertyRandomAtomicMoves(t *testing.T) {
 		if moves == 0 {
 			continue
 		}
-		err := seqverify.Equivalent(orig, work, seqverify.Options{})
-		if err == seqverify.ErrTooLarge {
+		err := seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{})
+		if errors.Is(err, seqverify.ErrTooLarge) {
 			err = sim.RandomEquivalent(orig, work, 0, 500, seed)
 		}
 		if err != nil {
@@ -89,8 +91,8 @@ func TestPropertyStemSplitAlwaysDelayedEquivalent(t *testing.T) {
 		if err := work.Check(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		err := seqverify.Equivalent(orig, work, seqverify.Options{Delay: k})
-		if err == seqverify.ErrTooLarge {
+		err := seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{Delay: k})
+		if errors.Is(err, seqverify.ErrTooLarge) {
 			err = sim.RandomEquivalent(orig, work, k, 500, seed)
 		}
 		if err != nil {
@@ -99,8 +101,8 @@ func TestPropertyStemSplitAlwaysDelayedEquivalent(t *testing.T) {
 		// With preserved initial values the split is even safe (Section II:
 		// preservation of initial states makes the new states invalid but
 		// unreachable).
-		err = seqverify.Equivalent(orig, work, seqverify.Options{})
-		if err != nil && err != seqverify.ErrTooLarge {
+		err = seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{})
+		if err != nil && !errors.Is(err, seqverify.ErrTooLarge) {
 			t.Fatalf("seed %d: init-preserving split must be safe: %v", seed, err)
 		}
 	}
@@ -113,7 +115,7 @@ func TestPropertyMinPeriodNeverWorse(t *testing.T) {
 		orig := bench.Synthetic(bench.Profile{
 			Name: "p", PIs: 3, POs: 2, FFs: 5, Gates: 16, Seed: seed,
 		})
-		ret, info, err := MinPeriod(orig, nil)
+		ret, info, err := MinPeriod(context.Background(), orig, nil, nil)
 		if err != nil {
 			continue // initial-state realization failures are legitimate
 		}
@@ -123,8 +125,8 @@ func TestPropertyMinPeriodNeverWorse(t *testing.T) {
 		if p, err := periodOf(ret, nil); err != nil || p > info.PeriodAfter+1e-9 {
 			t.Fatalf("seed %d: realized period %v does not match claim %v", seed, p, info.PeriodAfter)
 		}
-		verr := seqverify.Equivalent(orig, ret, seqverify.Options{})
-		if verr == seqverify.ErrTooLarge {
+		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{})
+		if errors.Is(verr, seqverify.ErrTooLarge) {
 			verr = sim.RandomEquivalent(orig, ret, 0, 500, seed)
 		}
 		if verr != nil {
@@ -143,7 +145,7 @@ func TestPropertyMinAreaKeepsPeriodAndEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ret, info, err := MinAreaUnderPeriod(orig, nil, p)
+		ret, info, err := MinAreaUnderPeriod(context.Background(), orig, nil, p, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -154,8 +156,8 @@ func TestPropertyMinAreaKeepsPeriodAndEquivalence(t *testing.T) {
 		if q, err := periodOf(ret, nil); err != nil || q > p+1e-9 {
 			t.Fatalf("seed %d: period constraint violated: %v", seed, q)
 		}
-		verr := seqverify.Equivalent(orig, ret, seqverify.Options{})
-		if verr == seqverify.ErrTooLarge {
+		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{})
+		if errors.Is(verr, seqverify.ErrTooLarge) {
 			verr = sim.RandomEquivalent(orig, ret, 0, 500, seed)
 		}
 		if verr != nil {

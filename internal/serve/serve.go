@@ -102,6 +102,11 @@ func (r *Request) normalize() {
 		// land on the same job.
 		r.Substrate = flows.SubstrateSOP
 	}
+	if r.InductionK == 0 {
+		// The engines read 0 as depth 1 (sweep.Options, flows.Config), so
+		// both spellings must address the same job.
+		r.InductionK = 1
+	}
 }
 
 // Key is the content address of the request: the sha256 of every field

@@ -185,6 +185,30 @@ func TestServeJobLifecycleAndCache(t *testing.T) {
 	waitDone(t, ts.URL, other.ID)
 }
 
+// TestServeInductionDepthDefaultIsContentAddressed pins the 0 → 1 fold:
+// the engines run an unset induction_k at depth 1, so an explicit
+// "induction_k": 1 is the same computation and must land on the same job.
+func TestServeInductionDepthDefaultIsContentAddressed(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 2})
+	src := circuitBLIF(t, "s27")
+
+	unset := Request{Netlist: src, Flow: "script", Sweep: true}
+	info, status := postJob(t, ts.URL, unset)
+	if status != http.StatusAccepted || info.Cached {
+		t.Fatalf("first submission: status=%d cached=%v (want 202/false)", status, info.Cached)
+	}
+	if final := waitDone(t, ts.URL, info.ID); final.State != StateDone {
+		t.Fatalf("job failed: %+v", final)
+	}
+
+	explicit := Request{Netlist: src, Flow: "script", Sweep: true, InductionK: 1}
+	again, status := postJob(t, ts.URL, explicit)
+	if status != http.StatusOK || !again.Cached || again.ID != info.ID {
+		t.Fatalf("induction_k=1 submission: status=%d cached=%v id=%s (want 200/true/%s)",
+			status, again.Cached, again.ID, info.ID)
+	}
+}
+
 func readAll(resp *http.Response) (string, error) {
 	defer resp.Body.Close()
 	var b strings.Builder
