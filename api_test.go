@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -181,5 +182,36 @@ func PeriodT() {}
 	want := "Analyze / AnalyzeT; G.Lags / G.LagsCtx; MapDelay / MapDelayCtx"
 	if got != want {
 		t.Fatalf("wrapperPairs = %q, want %q", got, want)
+	}
+}
+
+// TestSingleBenchmarkHarness keeps perfbench the only benchmark harness:
+// no non-test Go source outside perfbench/ may mention a BENCH_ report
+// file, the artifact family of the retired side harnesses.
+func TestSingleBenchmarkHarness(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "perfbench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if strings.Contains(string(src), "BENCH_") {
+			t.Errorf("%s mentions BENCH_: benchmark reports belong to perfbench", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

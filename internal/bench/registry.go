@@ -122,8 +122,8 @@ func TableI() []Circuit {
 // handle"). They are deliberately NOT part of TableI(): at tens of
 // thousands of gates the SOP substrate's two-level covers blow past any
 // reasonable pass budget, which is exactly the wall the AIG substrate
-// exists to break — benchflows -aig-bench runs both substrates over this
-// suite and records who finishes.
+// exists to break. ByName resolves these rows, so tablegen -circuits
+// s38417 -substrate=aig runs them through either substrate.
 func Large() []Circuit {
 	return []Circuit{
 		{"s9234", KindISCASSynthetic, fromProfile(Profile{"s9234", 19, 22, 228, 5597, 9234})},

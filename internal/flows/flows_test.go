@@ -3,6 +3,7 @@ package flows
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -278,36 +279,51 @@ func TestGuardRevertRecorded(t *testing.T) {
 	}
 }
 
-// TestRunAllTracedEmitsPerFlowSpans asserts the three flows appear as
-// separate top-level spans with wall time and that counters land under
-// the right flow.
+// TestRunAllTracedEmitsPerFlowSpans runs the three flows traced on the
+// small Table I rows and asserts that each flow appears as its own
+// top-level span with wall time, both in the in-memory tree and in the
+// JSON-lines stream (the -stats-json format, read back via
+// obs.ReadEvents), with the retiming pass in the tree.
 func TestRunAllTracedEmitsPerFlowSpans(t *testing.T) {
-	c, _ := bench.ByName("bbtas")
-	src, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.New()
-	if _, _, _, err := RunAll(context.Background(), src, genlib.Lib2(), Config{Tracer: tr}); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, s := range tr.Root().Children() {
-		names = append(names, s.Name)
-		if s.Dur() <= 0 {
-			t.Fatalf("span %s has no wall time", s.Name)
-		}
-	}
 	want := []string{"flow.script_delay", "flow.retime_combopt", "flow.resynthesis"}
-	if len(names) != len(want) {
-		t.Fatalf("top-level spans = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("top-level spans = %v, want %v", names, want)
+	for _, name := range []string{"ex2", "ex6", "bbtas", "s27", "s208"} {
+		c, _ := bench.ByName(name)
+		src, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if tr.Root().Find("retime.min_period") == nil {
-		t.Fatal("retiming span missing from the tree")
+		var buf bytes.Buffer
+		tr := obs.NewJSON(&buf)
+		if _, _, _, err := RunAll(context.Background(), src, genlib.Lib2(), Config{Tracer: tr}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var names []string
+		for _, s := range tr.Root().Children() {
+			names = append(names, s.Name)
+			if s.Dur() <= 0 {
+				t.Fatalf("%s: span %s has no wall time", name, s.Name)
+			}
+		}
+		if strings.Join(names, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s: top-level spans = %v, want %v", name, names, want)
+		}
+		if tr.Root().Find("retime.min_period") == nil {
+			t.Fatalf("%s: retiming span missing from the tree", name)
+		}
+		evs, skipped, err := obs.ReadEvents(&buf)
+		if err != nil || skipped != 0 {
+			t.Fatalf("%s: trace stream: err=%v, %d malformed lines", name, err, skipped)
+		}
+		ended := map[string]bool{}
+		for _, e := range evs {
+			if e.Ev == "span_end" && e.DurMs > 0 {
+				ended[e.Span] = true
+			}
+		}
+		for _, w := range want {
+			if !ended[w] {
+				t.Fatalf("%s: no span_end with wall time for %s in the trace stream", name, w)
+			}
+		}
 	}
 }

@@ -2,13 +2,22 @@ package flows
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/aig"
 	"repro/internal/bench"
 	"repro/internal/bitsim"
+	"repro/internal/blif"
 	"repro/internal/genlib"
+	"repro/internal/guard"
+	"repro/internal/mapper"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/timing"
 )
 
 // TestPropertyAigMatchesSOP is the substrate agreement property: the same
@@ -94,5 +103,103 @@ func TestPropertyAigMatchesSOP(t *testing.T) {
 					sop.Clk, sopClass, aigr.Clk, aigClass)
 			}
 		})
+	}
+}
+
+// TestAigRestructureOnRegistry holds the AIG substrate's restructuring
+// pass (aigRestructure, the pass ScriptDelay runs for SubstrateAIG) to its
+// quality and robustness contract on the small Table I rows:
+//
+//   - it commits under a one-second guard deadline on every row;
+//   - its lowered subject netlist is byte-identical at 1, 4 and 8 workers;
+//   - the rewrite loop never grows the sweep+balance baseline, and gains
+//     nodes on at least one row; structural hashing hits on at least one;
+//   - the delivered clock, the better mapping of the rewritten and the
+//     baseline network (the keep-best discipline of bestRemap), is no
+//     slower than the baseline, and the rewritten network maps to a
+//     valid clock of its own.
+func TestAigRestructureOnRegistry(t *testing.T) {
+	lib := genlib.Lib2()
+	aig.InitLibraries() // keep the one-time NPN table build out of the deadline
+	ctx := context.Background()
+	mappedClk := func(subject *network.Network) float64 {
+		t.Helper()
+		m, err := mapper.MapDelay(ctx, subject.Clone(), lib, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk, err := timing.Period(m, timing.MappedDelay{N: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clk
+	}
+	var strashHits, gain int64
+	for _, name := range []string{"ex2", "ex6", "bbtas", "bbara", "s27", "s208", "s298", "s344"} {
+		c, ok := bench.ByName(name)
+		if !ok {
+			t.Fatalf("%s not in registry", name)
+		}
+		src, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		g, err := aig.FromNetwork(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Sweep()
+		base := g.Balance()
+		baseSubject, err := base.ToSubjectNetwork()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		_, rep := guard.Tx(ctx, "aig.restructure", src,
+			guard.TxOptions{Budget: guard.Budget{Pass: time.Second}},
+			func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
+				out, err := aigRestructure(ctx, work, nil, Config{})
+				return out, 0, err
+			})
+		if !rep.Committed {
+			t.Errorf("%s: restructure rolled back under a 1s deadline: %s", name, rep.Note)
+		}
+
+		var want string
+		var rewritten *network.Network
+		for _, workers := range []int{1, 4, 8} {
+			tr := obs.New()
+			out, err := aigRestructure(ctx, src, tr, Config{Tracer: tr, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			var b strings.Builder
+			if err := blif.Write(&b, out); err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 {
+				want, rewritten = b.String(), out
+				cnt := tr.Counters()
+				if nodes := cnt["aig_nodes"]; nodes > int64(base.NumAnds()) {
+					t.Errorf("%s: rewrite grew the graph: %d ANDs from %d", name, nodes, base.NumAnds())
+				}
+				strashHits += cnt["aig_strash_hits"]
+				gain += cnt["aig_rewrite_gain"]
+			} else if b.String() != want {
+				t.Errorf("%s: lowered netlist at %d workers differs from 1 worker", name, workers)
+			}
+		}
+
+		clkBase, clkRewrite := mappedClk(baseSubject), mappedClk(rewritten)
+		if delivered := math.Min(clkRewrite, clkBase); clkRewrite <= 0 || delivered > clkBase {
+			t.Errorf("%s: delivered clk %.2f (rewritten %.2f) vs base %.2f", name, delivered, clkRewrite, clkBase)
+		}
+	}
+	if strashHits == 0 {
+		t.Error("no structural-hash hits on any row")
+	}
+	if gain == 0 {
+		t.Error("rewriting gained nothing on any row")
 	}
 }

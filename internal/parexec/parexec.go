@@ -1,6 +1,7 @@
 // Package parexec is the deterministic worker pool behind the parallel
-// evaluation flows: tablegen's circuit×flow matrix, benchflows and the
-// fault-acceptance sweep all fan their independent work items through it.
+// evaluation flows: tablegen's circuit×flow matrix, the AIG rewriter, the
+// bit-parallel simulator and the SAT sweep all fan their independent work
+// items through it.
 //
 // Determinism contract: results are collected by input index, so Map's
 // output (and therefore anything serialized from it, such as Table-I rows

@@ -305,30 +305,33 @@ func MergeSiblingRegisters(n *network.Network) int {
 	merged := 0
 	for {
 		progress := false
-		byDriver := make(map[*network.Node][]*network.Latch)
-		for _, l := range n.Latches {
-			byDriver[l.Driver] = append(byDriver[l.Driver], l)
+		// Group by (driver, initial value) and walk the groups in
+		// n.Latches order, so the order of redirects and removals (and
+		// with it every fanout list) does not depend on map iteration.
+		type key struct {
+			driver *network.Node
+			init   network.Value
 		}
-		for _, group := range byDriver {
-			if len(group) < 2 {
+		groups := make(map[key][]*network.Latch)
+		var order []key
+		for _, l := range n.Latches {
+			k := key{l.Driver, l.Init}
+			if _, ok := groups[k]; !ok {
+				order = append(order, k)
+			}
+			groups[k] = append(groups[k], l)
+		}
+		for _, k := range order {
+			cls := groups[k]
+			if len(cls) < 2 {
 				continue
 			}
-			// Partition by initial value; merge within each class.
-			byInit := map[network.Value][]*network.Latch{}
-			for _, l := range group {
-				byInit[l.Init] = append(byInit[l.Init], l)
-			}
-			for _, cls := range byInit {
-				if len(cls) < 2 {
-					continue
-				}
-				keep := cls[0]
-				for _, l := range cls[1:] {
-					n.RedirectConsumers(l.Output, keep.Output)
-					n.RemoveLatch(l)
-					merged++
-					progress = true
-				}
+			keep := cls[0]
+			for _, l := range cls[1:] {
+				n.RedirectConsumers(l.Output, keep.Output)
+				n.RemoveLatch(l)
+				merged++
+				progress = true
 			}
 		}
 		if !progress {

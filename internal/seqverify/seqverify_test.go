@@ -9,6 +9,7 @@ import (
 	"repro/internal/blif"
 	"repro/internal/logic"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/reach"
 )
 
@@ -143,28 +144,44 @@ func TestTooLarge(t *testing.T) {
 	}
 }
 
-// TestCheckProvedByInduction drives the sweep fallback: a 21-register
-// circuit makes the product machine (42 registers) too large for exact
-// reachability, so Check must first fail without Sweep and then prove
-// the clone pair by induction with it.
+// TestCheckProvedByInduction drives the sweep fallback over a clone pair
+// of each ISCAS row below. Rows whose product machine fits the exact
+// engine keep the exact verdict. Past the 32-latch wall (s382 and up:
+// 40+ product registers) Check must fail without Sweep and prove the pair
+// by induction with it; on s5378 (175 registers) the sweep must prove
+// register classes, not only the outputs.
 func TestCheckProvedByInduction(t *testing.T) {
-	c, ok := bench.ByName("s382")
-	if !ok {
-		t.Fatal("s382 not in registry")
+	tooLarge := 0
+	for _, name := range []string{"s27", "s298", "s382", "s400", "s526", "s641", "s5378"} {
+		c, ok := bench.ByName(name)
+		if !ok {
+			t.Fatalf("%s not in registry", name)
+		}
+		n, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := VerdictExact
+		if _, err := Check(context.Background(), n, n.Clone(), Options{}); errors.Is(err, ErrTooLarge) {
+			want = VerdictInduction
+			tooLarge++
+		} else if err != nil {
+			t.Fatalf("%s without Sweep: %v", name, err)
+		}
+		tr := obs.New()
+		v, err := Check(context.Background(), n, n.Clone(), Options{Sweep: true, Tracer: tr})
+		if err != nil {
+			t.Fatalf("%s with Sweep: %v", name, err)
+		}
+		if v != want {
+			t.Fatalf("%s: verdict = %q, want %q", name, v, want)
+		}
+		if name == "s5378" && tr.Counters()["sweep_classes_proved"] == 0 {
+			t.Fatalf("s5378: induction proved no register classes: %v", tr.Counters())
+		}
 	}
-	n, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Check(context.Background(), n, n.Clone(), Options{}); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("without Sweep: err = %v, want ErrTooLarge", err)
-	}
-	v, err := Check(context.Background(), n, n.Clone(), Options{Sweep: true})
-	if err != nil {
-		t.Fatalf("with Sweep: %v", err)
-	}
-	if v != VerdictInduction {
-		t.Fatalf("verdict = %q, want %q", v, VerdictInduction)
+	if tooLarge == 0 {
+		t.Fatal("no row exceeded the exact engine; the induction path went untested")
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 )
 
 // RetryPolicy governs re-execution of transiently failed work: capped
-// exponential backoff with full jitter. The same policy is shared by the
-// server's job retry loop and the loadgen client's 503 handling, so the
-// two sides of the connection back off in the same shape.
+// exponential backoff with full jitter, as the server's job retry loop
+// applies it.
 type RetryPolicy struct {
 	// Max is the number of retries after the first attempt (so Max=2
 	// allows 3 attempts). <0 disables retries; 0 takes the default.

@@ -439,39 +439,3 @@ func TestServeJobFailureIsReported(t *testing.T) {
 		t.Fatalf("failed job result status = %d, want 409", resp.StatusCode)
 	}
 }
-
-func TestLoadGenSmoke(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 4})
-	var logBuf bytes.Buffer
-	rep, err := RunLoad(LoadConfig{
-		Target:   ts.URL,
-		QPS:      50,
-		Duration: 300 * time.Millisecond,
-		Circuits: []string{"bbtas", "s27"},
-		Flow:     "script",
-		Log:      &logBuf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != LoadSchema {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if rep.Submitted == 0 || rep.Completed == 0 {
-		t.Fatalf("no traffic: %+v", rep)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("%d jobs failed: %s", rep.Failed, logBuf.String())
-	}
-	// Two distinct circuits cycled >2 times: everything after the first
-	// two submissions is a cache hit.
-	if rep.Submitted > 4 && rep.CacheHits == 0 {
-		t.Fatalf("no cache hits across %d submissions of 2 circuits", rep.Submitted)
-	}
-	if rep.LatencyMsP50 <= 0 || rep.LatencyMsP99 < rep.LatencyMsP50 {
-		t.Fatalf("implausible latency percentiles: %+v", rep)
-	}
-	if rep.JobsPerSec <= 0 {
-		t.Fatalf("jobs/sec = %v", rep.JobsPerSec)
-	}
-}

@@ -3,12 +3,14 @@ package sweep_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/blif"
 	"repro/internal/network"
+	"repro/internal/parexec"
 	"repro/internal/sweep"
 )
 
@@ -152,21 +154,42 @@ func TestDelayedDisproofHonoursPrefix(t *testing.T) {
 
 // TestSweepDeterminism demands byte-identical results at any worker
 // width: the fixed chunking must make the counterexample stream — and
-// through it every derived number — independent of scheduling.
+// through it every derived number — independent of scheduling. Both entry
+// points are held to it, Registers on each circuit and ProveEquivalent on
+// each circuit against its clone, and the wide run also proves the
+// circuits concurrently, so no state leaks between simultaneous sweeps.
 func TestSweepDeterminism(t *testing.T) {
-	for _, name := range []string{"planet", "s510", "s820"} {
-		n := build(t, name)
-		var got []*sweep.Result
-		for _, workers := range []int{1, 8} {
-			res, err := sweep.Registers(context.Background(), n, sweep.Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			res.Wall = 0
-			got = append(got, res)
+	names := []string{"planet", "s27", "s298", "s382", "s400", "s510", "s526", "s641", "s820"}
+	nets := make([]*network.Network, len(names))
+	for i, name := range names {
+		nets[i] = build(t, name)
+	}
+	run := func(workers int) [][2]*sweep.Result {
+		out, err := parexec.Map(context.Background(), workers, nets,
+			func(ctx context.Context, _ int, n *network.Network) ([2]*sweep.Result, error) {
+				opt := sweep.Options{Workers: workers}
+				reg, err := sweep.Registers(ctx, n, opt)
+				if err != nil {
+					return [2]*sweep.Result{}, fmt.Errorf("%s Registers: %w", n.Name, err)
+				}
+				eq, err := sweep.ProveEquivalent(ctx, n, n.Clone(), 0, opt)
+				if err != nil {
+					return [2]*sweep.Result{}, fmt.Errorf("%s ProveEquivalent: %w", n.Name, err)
+				}
+				reg.Wall, eq.Wall = 0, 0
+				return [2]*sweep.Result{reg, eq}, nil
+			})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(got[0], got[1]) {
-			t.Fatalf("%s: workers=1 gave %+v, workers=8 gave %+v", name, got[0], got[1])
+		return out
+	}
+	serial, wide := run(1), run(8)
+	for i, name := range names {
+		for j, entry := range []string{"Registers", "ProveEquivalent"} {
+			if !reflect.DeepEqual(serial[i][j], wide[i][j]) {
+				t.Fatalf("%s %s: workers=1 gave %+v, workers=8 gave %+v", name, entry, serial[i][j], wide[i][j])
+			}
 		}
 	}
 }
